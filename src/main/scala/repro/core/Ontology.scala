@@ -56,10 +56,11 @@ object GiantPipeline {
   def qtigOf(ex: MiningExample): QTIG.Graph =
     QTIG.build(ex.queries.map(_.tokens), ex.titles.map(_.tokens))
 
-  /** Train the three GCTSP-Net heads on the train splits (Spark-distributed). */
+  /** Train the three GCTSP-Net heads on the train splits (Spark-distributed,
+    * one job per epoch for all three).
+    */
   def trainModels(spark: SparkSession, corpus: Datasets.Corpus,
                   epochs: Int, seed: Long = 13): TrainedModels = {
-    val sc = spark.sparkContext
     def binaryGraphs(xs: Seq[MiningExample]): Seq[RGCN.EncodedGraph] =
       xs.map { ex => GCTSPNet.encode(qtigOf(ex), GCTSPNet.binaryLabels(ex.gold)) }
     def elementGraphs(xs: Seq[MiningExample]): Seq[RGCN.EncodedGraph] =
@@ -70,13 +71,11 @@ object GiantPipeline {
     val tc = RGCNTrainer.TrainConfig(epochs = epochs, seed = seed)
     val cmdTrain = corpus.train(corpus.cmd)
     val emdTrain = corpus.train(corpus.emd)
-    val conceptMiner = RGCNTrainer.train(spark,
-      sc.parallelize(binaryGraphs(cmdTrain), 16), GCTSPNet.config(2), tc)
-    val eventMiner = RGCNTrainer.train(spark,
-      sc.parallelize(binaryGraphs(emdTrain), 16), GCTSPNet.config(2), tc)
-    val elementClassifier = RGCNTrainer.train(spark,
-      sc.parallelize(elementGraphs(emdTrain), 16), GCTSPNet.config(GCTSPNet.ElementClasses), tc)
-    TrainedModels(conceptMiner, eventMiner, elementClassifier)
+    val heads = RGCNTrainer.trainHeads(spark, Seq(
+      binaryGraphs(cmdTrain) -> GCTSPNet.config(2),
+      binaryGraphs(emdTrain) -> GCTSPNet.config(2),
+      elementGraphs(emdTrain) -> GCTSPNet.config(GCTSPNet.ElementClasses)), tc)
+    TrainedModels(heads(0), heads(1), heads(2))
   }
 
   /** Mine phrases for every cluster with the trained models (Algorithm 1). */

@@ -1,20 +1,25 @@
 package repro.ml
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.rdd.RDD
 
-/** Synchronous distributed training for [[RGCN]].
+/** Synchronous full-batch training for [[RGCN]] heads — the Spark-native
+  * analogue of the paper's GPU training loop.
   *
-  * Each epoch broadcasts the flat parameter vector, `treeAggregate`s the
-  * exact full-batch gradient over the graph RDD and applies an Adam step on
-  * the driver — the Spark-native analogue of the paper's GPU training loop.
+  * [[trainHeads]] broadcasts the encoded graphs once, then runs one Spark job
+  * per epoch for all heads together. Each head's graphs are cut into
+  * `Slices` contiguous index ranges; task s sums every head's slice s in
+  * index order, and the driver adds the slice sums in slice order and applies
+  * one Adam step per head. The summation order is fixed, so the trained
+  * parameters depend on neither core count nor task completion order, and a
+  * head trains to the same bits alone or beside others. [[trainLocal]] runs
+  * the same epoch loop with the slices summed on the driver.
   */
 object RGCNTrainer {
 
   final case class TrainConfig(epochs: Int = 120, lr: Double = 0.01,
                                beta1: Double = 0.9, beta2: Double = 0.999,
                                eps: Double = 1e-8, weightDecay: Double = 1e-5,
-                               seed: Long = 13, logEvery: Int = 0)
+                               seed: Long = 13)
 
   /** Adam state over a flat parameter vector. */
   final class Adam(n: Int, tc: TrainConfig) {
@@ -36,59 +41,79 @@ object RGCNTrainer {
     }
   }
 
-  /** Distributed full-batch training over an RDD of encoded graphs. */
-  def train(spark: SparkSession, graphs: RDD[RGCN.EncodedGraph],
-            cfg: RGCN.Config, tc: TrainConfig = TrainConfig()): RGCN.Params = {
-    val params = RGCN.init(cfg, tc.seed)
-    val nG = graphs.count().toDouble
-    require(nG > 0, "no training graphs")
-    val adam = new Adam(cfg.nParams, tc)
+  /** Slices per head, and tasks per epoch. A constant, not a setting: the
+    * slicing fixes the order in which gradients are summed.
+    */
+  private val Slices = 8
+
+  /** Train one head per (graphs, config) pair, in one Spark job per epoch. */
+  def trainHeads(spark: SparkSession, heads: Seq[(Seq[RGCN.EncodedGraph], RGCN.Config)],
+                 tc: TrainConfig): Seq[RGCN.Params] = {
+    val graphs = checked(heads)
+    val cfgs = heads.map(_._2).toArray
     val sc = spark.sparkContext
-    for (epoch <- 1 to tc.epochs) {
-      val bc = sc.broadcast(params.flat.clone())
-      val (loss, grad) = graphs.treeAggregate((0.0, new Array[Double](cfg.nParams)))(
-        seqOp = { case ((l, g), graph) =>
-          val p = new RGCN.Params(cfg, bc.value)
-          val (li, gi) = RGCN.lossAndGrad(graph, p)
-          var i = 0
-          while (i < g.length) { g(i) += gi(i); i += 1 }
-          (l + li, g)
-        },
-        combOp = { case ((l1, g1), (l2, g2)) =>
-          var i = 0
-          while (i < g1.length) { g1(i) += g2(i); i += 1 }
-          (l1 + l2, g1)
-        })
-      bc.destroy()
-      var i = 0
-      while (i < grad.length) { grad(i) /= nG; i += 1 }
-      adam.step(params.flat, grad)
-      if (tc.logEvery > 0 && epoch % tc.logEvery == 0)
-        Console.err.println(f"[RGCNTrainer] epoch $epoch%4d loss ${loss / nG}%.5f")
-    }
-    params
+    val bcGraphs = sc.broadcast(graphs)
+    try fit(graphs, cfgs, tc) { flats =>
+      val bcFlats = sc.broadcast(flats)
+      try sc.parallelize(0 until Slices, Slices)
+        .map(s => sliceGrads(bcGraphs.value, cfgs, bcFlats.value, s)).collect()
+      finally bcFlats.destroy()
+    } finally bcGraphs.destroy()
   }
 
-  /** Driver-local training over a small in-memory graph collection (tests). */
+  /** Distributed full-batch training of one head. */
+  def train(spark: SparkSession, graphs: Seq[RGCN.EncodedGraph],
+            cfg: RGCN.Config, tc: TrainConfig = TrainConfig()): RGCN.Params =
+    trainHeads(spark, Seq(graphs -> cfg), tc).head
+
+  /** Driver-local training of one head; bit-identical to [[train]]. */
   def trainLocal(graphs: Seq[RGCN.EncodedGraph], cfg: RGCN.Config,
                  tc: TrainConfig = TrainConfig()): RGCN.Params = {
-    val params = RGCN.init(cfg, tc.seed)
-    val adam = new Adam(cfg.nParams, tc)
-    for (epoch <- 1 to tc.epochs) {
-      val grad = new Array[Double](cfg.nParams)
-      var loss = 0.0
-      for (g <- graphs) {
-        val (li, gi) = RGCN.lossAndGrad(g, params)
-        loss += li
+    val gs = checked(Seq(graphs -> cfg))
+    val cfgs = Array(cfg)
+    fit(gs, cfgs, tc)(flats => Array.tabulate(Slices)(s => sliceGrads(gs, cfgs, flats, s))).head
+  }
+
+  private def checked(heads: Seq[(Seq[RGCN.EncodedGraph], RGCN.Config)]): Array[Array[RGCN.EncodedGraph]] = {
+    for (((graphs, _), h) <- heads.zipWithIndex)
+      require(graphs.nonEmpty, s"head $h: no training graphs")
+    heads.map(_._1.toArray).toArray
+  }
+
+  /** The epoch loop. `sliceSums` maps the heads' current parameters to the
+    * gradient sums of every slice, indexed [slice][head].
+    */
+  private def fit(graphs: Array[Array[RGCN.EncodedGraph]], cfgs: Array[RGCN.Config], tc: TrainConfig)
+                 (sliceSums: Array[Array[Double]] => Array[Array[Array[Double]]]): Seq[RGCN.Params] = {
+    val params = cfgs.map(RGCN.init(_, tc.seed))
+    val adams = cfgs.map(c => new Adam(c.nParams, tc))
+    for (_ <- 1 to tc.epochs) {
+      val parts = sliceSums(params.map(_.flat))
+      for (h <- params.indices) {
+        val grad = parts.map(_(h)).reduceLeft(addInto)
+        val nG = graphs(h).length.toDouble
         var i = 0
-        while (i < grad.length) { grad(i) += gi(i); i += 1 }
+        while (i < grad.length) { grad(i) /= nG; i += 1 }
+        adams(h).step(params(h).flat, grad)
       }
-      var i = 0
-      while (i < grad.length) { grad(i) /= graphs.size; i += 1 }
-      adam.step(params.flat, grad)
-      if (tc.logEvery > 0 && epoch % tc.logEvery == 0)
-        Console.err.println(f"[RGCNTrainer] epoch $epoch%4d loss ${loss / graphs.size}%.5f")
     }
-    params
+    params.toSeq
+  }
+
+  /** Per head, the gradient sum over graphs [s·n/Slices, (s+1)·n/Slices) in index order. */
+  private def sliceGrads(graphs: Array[Array[RGCN.EncodedGraph]], cfgs: Array[RGCN.Config],
+                         flats: Array[Array[Double]], s: Int): Array[Array[Double]] =
+    Array.tabulate(graphs.length) { h =>
+      val p = new RGCN.Params(cfgs(h), flats(h))
+      val grad = new Array[Double](p.cfg.nParams)
+      val n = graphs(h).length
+      for (i <- s * n / Slices until (s + 1) * n / Slices) RGCN.addLossGrad(graphs(h)(i), p, grad)
+      grad
+    }
+
+  private def addInto(acc: Array[Double], x: Array[Double]): Array[Double] = {
+    var i = 0
+    while (i < acc.length) { acc(i) += x(i); i += 1 }
+    acc
   }
 }

@@ -20,7 +20,7 @@ class RGCNTrainerSpec extends SparkSpec {
     val graphs = (1 to 8).map(graph)
     val tc = RGCNTrainer.TrainConfig(epochs = 5, seed = 3)
     val local = RGCNTrainer.trainLocal(graphs, cfg, tc)
-    val dist = RGCNTrainer.train(spark, spark.sparkContext.parallelize(graphs, 4), cfg, tc)
+    val dist = RGCNTrainer.train(spark, graphs, cfg, tc)
     val maxDiff = local.flat.zip(dist.flat).map { case (a, b) => math.abs(a - b) }.max
     assert(maxDiff < 1e-9, s"parameter divergence $maxDiff")
   }
@@ -46,7 +46,32 @@ class RGCNTrainerSpec extends SparkSpec {
 
   test("empty graph set is rejected") {
     intercept[IllegalArgumentException] {
-      RGCNTrainer.train(spark, spark.sparkContext.parallelize(Seq.empty[RGCN.EncodedGraph], 1), cfg)
+      RGCNTrainer.train(spark, Seq.empty[RGCN.EncodedGraph], cfg)
+    }
+  }
+
+  test("an empty head is rejected by its index") {
+    val e = intercept[IllegalArgumentException] {
+      RGCNTrainer.trainHeads(spark, Seq((1 to 3).map(graph) -> cfg, Seq.empty -> cfg),
+        RGCNTrainer.TrainConfig(epochs = 1))
+    }
+    assert(e.getMessage.contains("head 1"), e.getMessage)
+  }
+
+  test("trainHeads: each head is bit-identical to the head trained alone, and runs repeat") {
+    def bits(p: RGCN.Params): Seq[Long] = p.flat.toSeq.map(java.lang.Double.doubleToRawLongBits)
+    val cfg4 = cfg.copy(outClasses = 4)
+    val heads = Seq(
+      (1 to 13).map(graph) -> cfg,
+      (20 to 22).map(graph) -> cfg, // fewer graphs than slices
+      (30 to 40).map(graph).map(g => g.copy(labels = g.labels.indices.map(_ % 4).toArray)) -> cfg4)
+    val tc = RGCNTrainer.TrainConfig(epochs = 4, seed = 7)
+    val together = RGCNTrainer.trainHeads(spark, heads, tc)
+    val again = RGCNTrainer.trainHeads(spark, heads, tc)
+    for (((gs, c), h) <- heads.zipWithIndex) {
+      assert(bits(together(h)) == bits(RGCNTrainer.train(spark, gs, c, tc)), s"head $h alone")
+      assert(bits(together(h)) == bits(RGCNTrainer.trainLocal(gs, c, tc)), s"head $h local")
+      assert(bits(together(h)) == bits(again(h)), s"head $h rerun")
     }
   }
 }

@@ -126,8 +126,10 @@ object GiantPipeline {
 
     // element recognition on event clusters (for CPD + involve edges)
     val exampleBySeed = (corpus.cmd ++ corpus.emd).map(x => x.seed -> x).toMap
+    def exampleOf(seed: Long): MiningExample = exampleBySeed.getOrElse(seed,
+      throw new NoSuchElementException(s"no mining example for cluster seed $seed"))
     val elementsOf: Map[Long, Map[String, Int]] = eventNodes.map { n =>
-      val ex = exampleBySeed(n.seeds.head)
+      val ex = exampleOf(n.seeds.head)
       n.id -> GCTSPNet.classifyElements(qtigOf(ex), models.elementClassifier)
     }.toMap
 
@@ -173,6 +175,7 @@ object GiantPipeline {
     }
 
     val rng = new scala.util.Random(99)
+    val conceptNodeById = conceptNodes.map(n => n.id -> n).toMap
     // positives: consecutive (concept, entity) sessions with a mentioning doc
     val positives = sessionPairs.keys.toSeq.sortBy(identity).flatMap { case (cid, eid) =>
       val ent = onto.entityById(eid)
@@ -182,8 +185,7 @@ object GiantPipeline {
     }
     // negatives: same-category non-member entity inserted at a random doc position
     val negatives = sessionPairs.keys.toSeq.sortBy(identity).flatMap { case (cid, _) =>
-      val node = conceptNodes.find(_.id == cid).get
-      val cat = exampleBySeed(node.seeds.head).category
+      val cat = exampleOf(conceptNodeById(cid).seeds.head).category
       val cands = onto.entities.filter(e => e.category == cat &&
         !conceptDocs(cid).exists(d => mentions(d.body, e.name)))
       if (cands.isEmpty || conceptDocs(cid).isEmpty) None
@@ -203,10 +205,10 @@ object GiantPipeline {
       if conceptDocs(n.id).exists(d => mentions(d.body, ent.name))
     } yield (n.id, ent.id, features(n.id, ent, None))
 
-    val (_, ceEdges) =
+    val ceEdges =
       if (positives.nonEmpty && negatives.nonEmpty)
-        Linking.conceptEntityIsA(positives ++ negatives, candidates)
-      else (null, Seq.empty[Linking.Edge])
+        Linking.conceptEntityIsA(positives ++ negatives, candidates)._2
+      else Seq.empty[Linking.Edge]
 
     // --- CPD topics (need entity → ancestor-concept phrases) ---
     val conceptPhraseById: Map[Long, Seq[String]] =

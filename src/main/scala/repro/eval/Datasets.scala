@@ -40,7 +40,6 @@ object Datasets {
   def build(spark: SparkSession, onto: OntoGen.GoldOntology, log: ClickLogGen.ClickLog,
             deltaV: Double = 0.05): Corpus = {
     val clusters = ClickGraph.clusters(spark, log.queries, log.docs, log.clicks, deltaV)
-      .collect().toVector
     // canonical seed per attention = smallest query id (created first)
     val canonical = clusters.groupBy(_.gold_attn).map { case (_, cs) => cs.minBy(_.seed) }
 

@@ -1,7 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.SparkSpec
+import org.apache.spark.sql.functions.concat_ws
+import repro.{Oracle, SparkSpec}
 import repro.core.Normalize.MinedPhrase
 
 class NormalizeSpec extends AnyFunSuite {
@@ -96,6 +97,33 @@ class DerivationSpec extends SparkSpec {
       (1L, Seq("famous", "runner"))).toDF("id", "phrase")
     val out = Derivation.commonSuffixes(spark, df, minCount = 2).collect()
     assert(out.isEmpty)
+  }
+
+  test("commonSuffixes matches DuckDB (suffix explode, noun-phrase rule, distinct support)") {
+    val onto = repro.data.OntoGen.generate(repro.data.OntoGen.Params(nDerivedConcepts = 25, nEvents = 5, seed = 4))
+    // generated concept phrases, a repeated row, a stop word and an entity inside a phrase
+    val phrases = onto.concepts.map(c => (c.id, c.tokens)) ++ Seq(
+      (onto.concepts.head.id, onto.concepts.head.tokens),
+      (9001L, Seq("the", "crime", "series")), (9002L, Seq("zorvex", "crime", "series")),
+      (9003L, Seq("crime", "the", "series")))
+    val concepts = phrases.toDF("id", "phrase")
+    val lex = phrases.flatMap(_._2).distinct.map { t =>
+      val i = repro.nlp.Lang.info(t)
+      (t, i.pos, i.stop.toString)
+    }.toDF("token", "pos", "stop")
+    Oracle.assertEquivalent(
+      Derivation.commonSuffixes(spark, concepts).select(concat_ws(" ", $"suffix") as "suffix", $"support"),
+      """WITH c AS (SELECT CAST(id AS BIGINT) AS id, string_split(phrase, ' ') AS toks FROM concepts),
+        |s AS (SELECT id, list_slice(toks, i + 1, len(toks)) AS suffix
+        |      FROM (SELECT id, toks, unnest(range(1, len(toks))) AS i FROM c)),
+        |t AS (SELECT id, suffix, unnest(suffix) AS tok, unnest(range(1, len(suffix) + 1)) AS at FROM s),
+        |np AS (SELECT t.id, t.suffix FROM t JOIN lex ON t.tok = lex.token
+        |       GROUP BY t.id, t.suffix
+        |       HAVING bool_and(lex.stop = 'false' AND lex.pos IN ('NOUN', 'ADJ'))
+        |          AND max(CASE WHEN t.at = len(t.suffix) THEN lex.pos END) = 'NOUN')
+        |SELECT array_to_string(suffix, ' ') AS suffix, COUNT(DISTINCT id) AS support
+        |FROM np GROUP BY suffix HAVING COUNT(DISTINCT id) >= 2""".stripMargin,
+      "concepts" -> concepts.select($"id", concat_ws(" ", $"phrase") as "phrase"), "lex" -> lex)
   }
 
   test("eventPattern collapses entity runs into one slot") {

@@ -81,4 +81,12 @@ class PipelineSpec extends SparkSpec {
     val ids = res.built.nodes.map(_.id)
     assert(ids.distinct.size == ids.size)
   }
+
+  test("assemble names the seed of a mined phrase that has no mining example") {
+    val (mc, me) = GiantPipeline.minePhrases(spark, res.corpus, res.models)
+    val e = intercept[NoSuchElementException](GiantPipeline.assemble(spark, res.onto, res.log,
+      res.corpus.copy(emd = Vector.empty), res.models, mc, me))
+    val seed = "cluster seed (\\d+)".r.findFirstMatchIn(e.getMessage).map(_.group(1).toLong)
+    assert(seed.exists(me.map(_.seed).toSet), e.getMessage)
+  }
 }

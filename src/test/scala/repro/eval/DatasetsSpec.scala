@@ -4,6 +4,7 @@ import repro.SparkSpec
 import repro.data.{ClickLogGen, OntoGen}
 
 class DatasetsSpec extends SparkSpec {
+  import spark.implicits._
 
   private lazy val onto = OntoGen.generate(OntoGen.Params(nDerivedConcepts = 40, nEvents = 25, seed = 6))
   private lazy val log = ClickLogGen.generate(spark, onto, ClickLogGen.Params(seed = 7))
@@ -59,5 +60,38 @@ class DatasetsSpec extends SparkSpec {
       ex.queries.head.tokens.toSet.intersect(ex.gold.toSet).nonEmpty)
     assert(overlapping.toDouble / all.size > 0.9,
       s"only $overlapping/${all.size} top queries overlap their gold phrase")
+  }
+
+  // Degenerate logs: the build returns a smaller or empty corpus, no exception.
+  private def withClicks(clicks: Vector[ClickLogGen.ClickRow]) =
+    log.copy(clicks = clicks.toDF(), clickRows = clicks)
+  private def withQueries(queries: Vector[ClickLogGen.QueryRow]) =
+    log.copy(queries = queries.toDF(), queryRows = queries)
+  private def size(c: Datasets.Corpus) = c.cmd.size + c.emd.size
+
+  test("an empty click log builds an empty corpus") {
+    val c = Datasets.build(spark, onto, withClicks(Vector.empty))
+    assert(c.cmd.isEmpty && c.emd.isEmpty)
+  }
+
+  test("a log without attention queries builds an empty corpus") {
+    val c = Datasets.build(spark, onto, withQueries(log.queryRows.map(_.copy(kind = "entity"))))
+    assert(c.cmd.isEmpty && c.emd.isEmpty)
+  }
+
+  test("an attention whose seed queries have no clicks drops out of the corpus") {
+    val attn = corpus.cmd.head.attnId
+    val silent = log.queryRows.filter(q => q.kind == "attention" && q.gold_attn == attn).map(_.query_id).toSet
+    val c = Datasets.build(spark, onto, withClicks(log.clickRows.filterNot(r => silent(r.query_id))))
+    assert(!c.cmd.exists(_.attnId == attn))
+    assert(size(c) < size(corpus))
+  }
+
+  test("an attention whose queries are all stop words drops out of the corpus") {
+    val attn = corpus.emd.head.attnId
+    val c = Datasets.build(spark, onto, withQueries(log.queryRows.map(q =>
+      if (q.kind == "attention" && q.gold_attn == attn) q.copy(tokens = Seq("what", "are", "the")) else q)))
+    assert(!c.emd.exists(_.attnId == attn))
+    assert(size(c) < size(corpus))
   }
 }

@@ -1,24 +1,12 @@
 package repro.jobs
 
-import repro.apps.DocTagging
-import repro.eval.Tables
+import repro.eval.{DocTaggingEval, Tables}
 
 /** Document tagging precision report (Sec. 5.3 in-text numbers): run the
   * pipeline, tag every generated document with concepts and events, and
   * measure per-category precision against the generator's gold attention.
   */
 object DocTaggingJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("giant-doctagging")
-    val (res, _) = Tables.tables1and2(spark, JobUtil.scaleOf(args))
-    val r = repro.eval.DocTaggingEval.run(res)
-    println("== Sec 5.3: document tagging precision ==")
-    for ((cat, p, n) <- r.perCategory)
-      println(f"$cat%-12s concept precision=$p%.3f over $n%4d tagged docs")
-    println(f"overall concept precision ${r.conceptPrecision}%.3f (paper: 0.88)")
-    println(f"overall event   precision ${r.eventPrecision}%.3f (paper: 0.96)")
-    println(f"docs with >=1 concept tag: ${r.conceptCoverage}%.3f (paper: 0.35)")
-    println(f"docs with an event tag:    ${r.eventCoverage}%.3f (paper: 0.04)")
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobUtil.runAndPrint("giant-doctagging", args)(res => Tables.docTaggingLines(DocTaggingEval.run(res)))
 }

@@ -1,6 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
+import repro.core.GiantPipeline
 import repro.eval.Tables
 
 /** Shared spark-submit plumbing for the per-table jobs.
@@ -21,86 +22,48 @@ object JobUtil {
   def scaleOf(args: Array[String]): Tables.Scale =
     if (args.contains("--bench")) Tables.BenchScale else Tables.TestScale
 
-  def printPhraseTable(title: String, rows: Seq[Tables.PhraseScore]): Unit = {
-    println(s"== $title ==")
-    println(f"${"Method"}%-12s ${"EM"}%8s ${"F1"}%8s ${"COV"}%8s")
-    rows.foreach(r => println(f"${r.method}%-12s ${r.em}%8.4f ${r.f1}%8.4f ${r.cov}%8.4f"))
+  /** Runs the pipeline at the scale `args` select and prints `lines` of its result. */
+  def runAndPrint(name: String, args: Array[String])(lines: GiantPipeline.Result => Seq[String]): Unit = {
+    val spark = session(name)
+    try lines(Tables.prepare(spark, scaleOf(args))).foreach(println)
+    finally spark.stop()
   }
 }
 
 /** Table 1: node counts of the attention ontology. */
 object Table1Nodes {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("giant-table1")
-    val (res, report) = Tables.tables1and2(spark, JobUtil.scaleOf(args))
-    println("== Table 1: nodes in the attention ontology ==")
-    for (k <- Seq("category", "concept", "topic", "event", "entity"))
-      println(f"$k%-10s ${report.nodeCounts.getOrElse(k, 0L)}%8d")
-    println(f"concept phrase accuracy ${report.conceptPhraseAccuracy}%.3f; " +
-      f"event phrase accuracy ${report.eventPhraseAccuracy}%.3f")
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobUtil.runAndPrint("giant-table1", args)(res => Tables.table1Lines(Tables.tables1and2(res)))
 }
 
 /** Table 2: edge counts + accuracy. */
 object Table2Edges {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("giant-table2")
-    val (_, report) = Tables.tables1and2(spark, JobUtil.scaleOf(args))
-    println("== Table 2: edges in the attention ontology ==")
-    for (s <- report.edgeStats)
-      println(f"${s.kind}%-10s n=${s.count}%7d accuracy=${s.accuracy}%.3f")
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobUtil.runAndPrint("giant-table2", args)(res => Tables.table2Lines(Tables.tables1and2(res)))
 }
 
 /** Tables 3 and 4: showcases of concepts and events/topics. */
 object Table3And4Showcases {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("giant-table3-4")
-    val (res, _) = Tables.tables1and2(spark, JobUtil.scaleOf(args))
-    println("== Table 3: concept showcases ==")
-    for (c <- Tables.table3(res, k = 6))
-      println(s"[${c.category}] ${c.concept}  <-  ${c.instances.mkString(", ")}")
-    println("== Table 4: event/topic showcases ==")
-    for (e <- Tables.table4(res, k = 6))
-      println(s"[${e.category}] topic='${e.topic}' events=${e.events.mkString(" | ")} entities=${e.entities.mkString(", ")}")
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobUtil.runAndPrint("giant-table3-4", args) { res =>
+      Tables.table3Lines(Tables.table3(res, k = 6)) ++ Tables.table4Lines(Tables.table4(res, k = 6))
+    }
 }
 
 /** Table 5: concept mining comparison on CMD. */
 object Table5ConceptMining {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("giant-table5")
-    val s = JobUtil.scaleOf(args)
-    val prep = Tables.prepare(spark, s)
-    JobUtil.printPhraseTable("Table 5: concept mining (CMD)", Tables.table5(spark, prep, s))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobUtil.runAndPrint("giant-table5", args)(res => Tables.table5Lines(Tables.table5(res)))
 }
 
 /** Table 6: event mining comparison on EMD. */
 object Table6EventMining {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("giant-table6")
-    val s = JobUtil.scaleOf(args)
-    val prep = Tables.prepare(spark, s)
-    JobUtil.printPhraseTable("Table 6: event mining (EMD)", Tables.table6(spark, prep, s))
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobUtil.runAndPrint("giant-table6", args)(res => Tables.table6Lines(Tables.table6(res)))
 }
 
 /** Table 7: event key elements recognition. */
 object Table7KeyElements {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("giant-table7")
-    val s = JobUtil.scaleOf(args)
-    val prep = Tables.prepare(spark, s)
-    println("== Table 7: event key elements recognition ==")
-    println(f"${"Method"}%-12s ${"F1-macro"}%9s ${"F1-micro"}%9s ${"F1-weighted"}%12s")
-    for (r <- Tables.table7(spark, prep, s))
-      println(f"${r.method}%-12s ${r.macroF1}%9.4f ${r.microF1}%9.4f ${r.weightedF1}%12.4f")
-    spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobUtil.runAndPrint("giant-table7", args)(res => Tables.table7Lines(Tables.table7(res)))
 }

@@ -284,8 +284,7 @@ object GiantPipeline {
 
   /** Run everything end to end. */
   def run(spark: SparkSession, ontoParams: OntoGen.Params,
-          logParams: ClickLogGen.Params = ClickLogGen.Params(),
-          epochs: Int = 60): Result = {
+          logParams: ClickLogGen.Params, epochs: Int): Result = {
     val onto = OntoGen.generate(ontoParams)
     val log = ClickLogGen.generate(spark, onto, logParams)
     val corpus = Datasets.build(spark, onto, log)

@@ -61,12 +61,9 @@ object RGCNTrainer {
     } finally bcGraphs.destroy()
   }
 
-  /** Distributed full-batch training of one head. */
-  def train(spark: SparkSession, graphs: Seq[RGCN.EncodedGraph],
-            cfg: RGCN.Config, tc: TrainConfig = TrainConfig()): RGCN.Params =
-    trainHeads(spark, Seq(graphs -> cfg), tc).head
-
-  /** Driver-local training of one head; bit-identical to [[train]]. */
+  /** Driver-local training of one head; bit-identical to the same head
+    * trained by [[trainHeads]].
+    */
   def trainLocal(graphs: Seq[RGCN.EncodedGraph], cfg: RGCN.Config,
                  tc: TrainConfig = TrainConfig()): RGCN.Params = {
     val gs = checked(Seq(graphs -> cfg))

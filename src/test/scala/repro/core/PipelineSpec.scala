@@ -11,7 +11,8 @@ import repro.eval.Tables
 class PipelineSpec extends SparkSpec {
 
   private lazy val scale = Tables.Scale(nConcepts = 70, nEvents = 45, epochs = 40, seed = 21)
-  private lazy val (res, report) = Tables.tables1and2(spark, scale)
+  private lazy val res = Tables.prepare(spark, scale)
+  private lazy val report = Tables.tables1and2(res)
 
   test("ontology contains all five node kinds") {
     val kinds = res.built.countByKind

@@ -5,7 +5,7 @@ import repro.SparkSpec
 /** Doc-tagging precision against gold at test scale (Sec. 5.3 numbers). */
 class DocTaggingEvalSpec extends SparkSpec {
 
-  private lazy val (res, _) = Tables.tables1and2(spark,
+  private lazy val res = Tables.prepare(spark,
     Tables.Scale(nConcepts = 70, nEvents = 45, epochs = 40, seed = 23))
   private lazy val report = DocTaggingEval.run(res)
 

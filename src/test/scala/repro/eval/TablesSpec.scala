@@ -7,11 +7,10 @@ import repro.SparkSpec
   */
 class TablesSpec extends SparkSpec {
 
-  private lazy val scale = Tables.TestScale
-  private lazy val prep = Tables.prepare(spark, scale)
-  private lazy val t5 = Tables.table5(spark, prep, scale)
-  private lazy val t6 = Tables.table6(spark, prep, scale)
-  private lazy val t7 = Tables.table7(spark, prep, scale)
+  private lazy val res = Tables.prepare(spark, Tables.TestScale)
+  private lazy val t5 = Tables.table5(res)
+  private lazy val t6 = Tables.table6(res)
+  private lazy val t7 = Tables.table7(res)
 
   private def of(rows: Seq[Tables.PhraseScore], m: String) = rows.find(_.method == m).get
 
@@ -92,5 +91,29 @@ class TablesSpec extends SparkSpec {
     val crf = t7.find(_.method == "LSTM-CRF").get
     val lstm = t7.find(_.method == "LSTM").get
     assert(crf.microF1 >= lstm.microF1 * 0.95)
+  }
+
+  test("the ontology and Tables 5-7 do not depend on the shuffle partition count") {
+    val keys = Seq("spark.sql.shuffle.partitions", "spark.sql.adaptive.enabled")
+    val before = keys.map(k => k -> spark.conf.getAll.get(k))
+    def runWith(partitions: Int) = {
+      spark.conf.set("spark.sql.shuffle.partitions", partitions.toLong)
+      spark.conf.set("spark.sql.adaptive.enabled", false)
+      val r = Tables.prepare(spark, Tables.Scale(nConcepts = 40, nEvents = 20, epochs = 20, seed = 5))
+      (r.built.nodes.sortBy(_.id), r.built.edges.sortBy(e => (e.src, e.dst, e.kind, e.how)),
+        Tables.table5(r), Tables.table6(r), Tables.table7(r))
+    }
+    val (few, many) =
+      try (runWith(8), runWith(64))
+      finally before.foreach {
+        case (k, Some(v)) => spark.conf.set(k, v)
+        case (k, None) => spark.conf.unset(k)
+      }
+    assert(keys.map(k => k -> spark.conf.getAll.get(k)) == before)
+    assert(few._1 == many._1, "nodes differ")
+    assert(few._2 == many._2, "edges differ")
+    assert(few._3 == many._3, "table 5 differs")
+    assert(few._4 == many._4, "table 6 differs")
+    assert(few._5 == many._5, "table 7 differs")
   }
 }

@@ -20,7 +20,7 @@ class RGCNTrainerSpec extends SparkSpec {
     val graphs = (1 to 8).map(graph)
     val tc = RGCNTrainer.TrainConfig(epochs = 5, seed = 3)
     val local = RGCNTrainer.trainLocal(graphs, cfg, tc)
-    val dist = RGCNTrainer.train(spark, graphs, cfg, tc)
+    val dist = RGCNTrainer.trainHeads(spark, Seq(graphs -> cfg), tc).head
     val maxDiff = local.flat.zip(dist.flat).map { case (a, b) => math.abs(a - b) }.max
     assert(maxDiff < 1e-9, s"parameter divergence $maxDiff")
   }
@@ -46,7 +46,7 @@ class RGCNTrainerSpec extends SparkSpec {
 
   test("empty graph set is rejected") {
     intercept[IllegalArgumentException] {
-      RGCNTrainer.train(spark, Seq.empty[RGCN.EncodedGraph], cfg)
+      RGCNTrainer.trainHeads(spark, Seq(Seq.empty[RGCN.EncodedGraph] -> cfg), RGCNTrainer.TrainConfig()).head
     }
   }
 
@@ -69,7 +69,7 @@ class RGCNTrainerSpec extends SparkSpec {
     val together = RGCNTrainer.trainHeads(spark, heads, tc)
     val again = RGCNTrainer.trainHeads(spark, heads, tc)
     for (((gs, c), h) <- heads.zipWithIndex) {
-      assert(bits(together(h)) == bits(RGCNTrainer.train(spark, gs, c, tc)), s"head $h alone")
+      assert(bits(together(h)) == bits(RGCNTrainer.trainHeads(spark, Seq(gs -> c), tc).head), s"head $h alone")
       assert(bits(together(h)) == bits(RGCNTrainer.trainLocal(gs, c, tc)), s"head $h local")
       assert(bits(together(h)) == bits(again(h)), s"head $h rerun")
     }
